@@ -21,6 +21,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
+
 namespace diffpattern::dist {
 
 using common::Result;
@@ -294,32 +296,16 @@ Status read_frame(int fd, FrameAssembler& assembler,
   return Status::Ok();
 }
 
-std::uint64_t fnv1a64_seeded(std::uint64_t seed, const std::uint8_t* data,
-                             std::size_t size) {
-  std::uint64_t hash = seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
-}
-
 }  // namespace
-
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size) {
-  return fnv1a64_seeded(0xCBF29CE484222325ULL, data, size);
-}
 
 std::uint64_t socket_frame_tag(const std::string& key,
                                const std::uint8_t* header12,
                                const std::uint8_t* payload,
                                std::size_t payload_size) {
-  const auto* key_bytes = reinterpret_cast<const std::uint8_t*>(key.data());
-  std::uint64_t hash = fnv1a64(key_bytes, key.size());
-  hash = fnv1a64_seeded(hash, header12, kSocketFrameHeaderBytes);
-  hash = fnv1a64_seeded(hash, payload, payload_size);
-  hash = fnv1a64_seeded(hash, key_bytes, key.size());
-  return hash;
+  std::uint64_t hash = common::fnv1a64(key.data(), key.size());
+  hash = common::fnv1a64(header12, kSocketFrameHeaderBytes, hash);
+  hash = common::fnv1a64(payload, payload_size, hash);
+  return common::fnv1a64(key.data(), key.size(), hash);
 }
 
 Bytes frame_payload(const Bytes& payload, const std::string& auth_key) {
@@ -335,7 +321,8 @@ Bytes frame_payload(const Bytes& payload, const std::string& auth_key) {
   for (int shift = 0; shift < 32; shift += 8) {
     out.push_back(static_cast<std::uint8_t>((word >> shift) & 0xFF));
   }
-  const std::uint64_t checksum = fnv1a64(payload.data(), payload.size());
+  const std::uint64_t checksum =
+      common::fnv1a64(payload.data(), payload.size());
   for (int shift = 0; shift < 64; shift += 8) {
     out.push_back(static_cast<std::uint8_t>((checksum >> shift) & 0xFF));
   }
@@ -429,7 +416,7 @@ common::Status FrameAssembler::feed(const std::uint8_t* data,
         if (Status s = [&] {
               // Checksum first: corruption stays DATA_LOSS, never an
               // auth failure.
-              if (checksum_ != fnv1a64(nullptr, 0)) {
+              if (checksum_ != common::fnv1a64(nullptr, 0)) {
                 return Status::DataLoss("frame checksum mismatch");
               }
               if (!auth_key_.empty() &&
@@ -450,7 +437,7 @@ common::Status FrameAssembler::feed(const std::uint8_t* data,
     body_.insert(body_.end(), data + pos, data + pos + take);
     pos += take;
     if (body_.size() == expected_) {
-      if (fnv1a64(body_.data(), body_.size()) != checksum_) {
+      if (common::fnv1a64(body_.data(), body_.size()) != checksum_) {
         return Status::DataLoss("frame checksum mismatch");
       }
       if (!auth_key_.empty() &&
@@ -640,9 +627,7 @@ class SocketChannel : public Channel {
       parse_error_ = parsed.status();
     }
     jitter_state_ = config_.jitter_seed ^
-                    fnv1a64(reinterpret_cast<const std::uint8_t*>(
-                                spec_.data()),
-                            spec_.size());
+                    common::fnv1a64(spec_.data(), spec_.size());
   }
 
   ~SocketChannel() override {

@@ -72,9 +72,6 @@ inline constexpr std::uint32_t kSocketFrameAuthFlag = 0x80000000U;
 /// pattern payloads, small enough that a hostile length can never matter.
 inline constexpr std::size_t kDefaultMaxFrameBytes = 64ULL << 20;
 
-/// FNV-1a 64-bit over a byte range (the outer-frame checksum).
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size);
-
 /// Keyed tag of authenticated framing: FNV-1a composed over
 /// (key, 12-byte length+checksum header, payload, key). HMAC-style
 /// key-envelope composition — the key mixes in both before and after the

@@ -160,12 +160,49 @@ std::vector<SquishPattern> load_pattern_library(const std::string& path) {
   if (!in || std::string(magic, 7) != "DPLIB01") {
     throw std::runtime_error("load_pattern_library: bad magic");
   }
+  // Header values are untrusted: each count and dimension is checked
+  // against the bytes left in the file before anything sized by it is
+  // allocated, so a hostile header fails fast instead of exhausting memory.
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_bytes = in.tellg();
+  in.seekg(8);
+  if (!in || file_bytes < 8) {
+    throw std::runtime_error("load_pattern_library: cannot size " + path);
+  }
+  std::uint64_t remaining = static_cast<std::uint64_t>(file_bytes) - 8;
+  const auto consume = [&remaining](std::uint64_t bytes) {
+    if (bytes > remaining) {
+      throw std::runtime_error("load_pattern_library: truncated");
+    }
+    remaining -= bytes;
+  };
+  consume(8);
   const auto count = read_u64(in);
+  // Every pattern stores at least its 16-byte rows/cols header.
+  if (count > remaining / 16) {
+    throw std::runtime_error("load_pattern_library: truncated");
+  }
   std::vector<SquishPattern> patterns;
   patterns.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
+    consume(16);
     const auto rows = static_cast<std::int64_t>(read_u64(in));
     const auto cols = static_cast<std::int64_t>(read_u64(in));
+    if (rows < 0 || cols < 0) {
+      throw std::runtime_error("load_pattern_library: negative dimension");
+    }
+    // The body is one byte per topology cell plus 8 bytes per dx/dy entry.
+    const auto urows = static_cast<std::uint64_t>(rows);
+    const auto ucols = static_cast<std::uint64_t>(cols);
+    if (urows > remaining / 8 || ucols > remaining / 8) {
+      throw std::runtime_error("load_pattern_library: truncated");
+    }
+    const std::uint64_t deltas = 8 * (urows + ucols);
+    consume(deltas);
+    if (ucols != 0 && urows > remaining / ucols) {
+      throw std::runtime_error("load_pattern_library: truncated");
+    }
+    consume(urows * ucols);
     SquishPattern p;
     p.topology = BinaryGrid(rows, cols);
     for (std::int64_t r = 0; r < rows; ++r) {

@@ -7,11 +7,13 @@
 
 #include "common/rng.h"
 #include "diffusion/diffusion.h"
+#include "sampler_test_util.h"
 #include "tensor/tensor_ops.h"
 
 namespace dd = diffpattern::diffusion;
 namespace du = diffpattern::unet;
 namespace dc = diffpattern::common;
+using diffpattern::testutil::sample_split_streams;
 using diffpattern::tensor::Tensor;
 
 namespace {
@@ -157,7 +159,7 @@ TEST(Sampler, ProducesBinaryOutputOfRequestedShape) {
   dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 5});
   du::UNet model(micro_config(), 3);
   dc::Rng rng(9);
-  Tensor s = dd::sample(model, schedule, 3, 4, 4, dd::SamplerConfig{}, rng);
+  Tensor s = sample_split_streams(model, schedule, 3, 4, 4, /*stride=*/1, rng);
   EXPECT_EQ(s.shape(), (diffpattern::tensor::Shape{3, 1, 4, 4}));
   for (std::int64_t i = 0; i < s.numel(); ++i) {
     EXPECT_TRUE(s[i] == 0.0F || s[i] == 1.0F);
@@ -169,8 +171,9 @@ TEST(Sampler, ObserverSeesFullChain) {
   du::UNet model(micro_config(), 3);
   dc::Rng rng(10);
   std::vector<std::int64_t> seen;
-  dd::sample(model, schedule, 1, 4, 4, dd::SamplerConfig{}, rng,
-             [&](std::int64_t k, const Tensor&) { seen.push_back(k); });
+  sample_split_streams(
+      model, schedule, 1, 4, 4, /*stride=*/1, rng,
+      [&](std::int64_t k, const Tensor&) { seen.push_back(k); });
   // K, K-1, ..., 0: K+1 snapshots.
   ASSERT_EQ(seen.size(), 7U);
   EXPECT_EQ(seen.front(), 6);
@@ -196,7 +199,7 @@ TEST(EndToEnd, LearnsTwoModeToyDistribution) {
   const std::string left = "1100110011001100";
   const std::string right = "0011001100110011";
   Tensor samples =
-      dd::sample(model, schedule, 24, 4, 4, dd::SamplerConfig{}, rng);
+      sample_split_streams(model, schedule, 24, 4, 4, /*stride=*/1, rng);
   int on_mode = 0;
   std::map<std::string, int> histogram;
   for (std::int64_t i = 0; i < 24; ++i) {

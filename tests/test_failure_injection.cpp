@@ -2,7 +2,9 @@
 // rejected with exceptions, never silently mis-parsed.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -93,6 +95,35 @@ TEST(LibraryCorruption, AbsurdCountRejected) {
   }
   write_all(path, bytes);
   EXPECT_THROW(dio::load_pattern_library(path), std::exception);
+  std::remove(path.c_str());
+}
+
+// Hostile headers must be rejected against the file's real size before the
+// reader allocates anything they size: a 32-byte file may not reserve
+// gigabytes.
+TEST(LibraryCorruption, OversizedHeadersRejectedBeforeAllocating) {
+  const auto path = temp_path("dp_fi_library_header.bin");
+  const auto write_header = [&](std::uint64_t count, std::uint64_t rows,
+                                std::uint64_t cols) {
+    std::vector<char> bytes(8 + 3 * 8);
+    std::memcpy(bytes.data(), "DPLIB01\0", 8);
+    std::memcpy(bytes.data() + 8, &count, 8);
+    std::memcpy(bytes.data() + 16, &rows, 8);
+    std::memcpy(bytes.data() + 24, &cols, 8);
+    write_all(path, bytes);
+  };
+  write_header(1, 1ULL << 15, 1ULL << 15);
+  EXPECT_THROW(dio::load_pattern_library(path), std::runtime_error)
+      << "2^15 x 2^15 grid in a 32-byte file";
+  write_header(1ULL << 62, 4, 4);
+  EXPECT_THROW(dio::load_pattern_library(path), std::runtime_error)
+      << "count 2^62";
+  write_header(1, 1ULL << 20, 1ULL << 20);
+  EXPECT_THROW(dio::load_pattern_library(path), std::runtime_error)
+      << "2^20 x 2^20 grid";
+  write_header(1, ~0ULL, 4);
+  EXPECT_THROW(dio::load_pattern_library(path), std::runtime_error)
+      << "rows = -1";
   std::remove(path.c_str());
 }
 

@@ -60,8 +60,9 @@ Tensor run_sampling(du::UNet& model, const dd::BinarySchedule& schedule) {
   for (auto& s : streams) {
     ptrs.push_back(&s);
   }
-  return dd::sample_streams(model, schedule, /*height=*/8, /*width=*/8,
-                            dd::SamplerConfig{}, ptrs);
+  return dd::sample_streams_strided(model, schedule, /*height=*/8,
+                                    /*width=*/8, dd::SamplerConfig{}, ptrs,
+                                    std::vector<std::int64_t>(ptrs.size(), 1));
 }
 
 }  // namespace

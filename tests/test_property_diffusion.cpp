@@ -1,17 +1,22 @@
-// Parameterized properties of the diffusion schedule, the strided sampler,
-// and the EMA helper.
+// Parameterized properties of the diffusion schedule, the strided sampler
+// (including its argument contract), and the EMA helper.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "common/rng.h"
 #include "diffusion/diffusion.h"
+#include "sampler_test_util.h"
 #include "tensor/tensor_ops.h"
 
 namespace dd = diffpattern::diffusion;
 namespace du = diffpattern::unet;
 namespace dc = diffpattern::common;
 namespace nn = diffpattern::nn;
+using diffpattern::testutil::sample_split_streams;
+using diffpattern::testutil::SplitStreams;
 using diffpattern::tensor::Tensor;
 
 // ---- schedule sweep ---------------------------------------------------------
@@ -139,8 +144,8 @@ TEST_P(StridedSampler, ProducesBinaryOutputAndVisitsExpectedSteps) {
   dc::Rng rng(9);
   std::vector<std::int64_t> visited;
   const auto stride = GetParam();
-  Tensor s = dd::sample_strided(
-      model, schedule, 2, 4, 4, stride, dd::SamplerConfig{}, rng,
+  Tensor s = sample_split_streams(
+      model, schedule, 2, 4, 4, stride, rng,
       [&](std::int64_t k, const Tensor&) { visited.push_back(k); });
   for (std::int64_t i = 0; i < s.numel(); ++i) {
     EXPECT_TRUE(s[i] == 0.0F || s[i] == 1.0F);
@@ -156,18 +161,53 @@ TEST_P(StridedSampler, ProducesBinaryOutputAndVisitsExpectedSteps) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Strides, StridedSampler,
-                         ::testing::Values(1, 2, 3, 5, 12, 50));
+                         ::testing::Values(1, 2, 3, 5, 12));
 
 TEST(StridedSampler, StrideOneVisitsEveryStep) {
   dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 6});
   du::UNet model(micro_config(), 3);
   dc::Rng rng(4);
   std::vector<std::int64_t> visited;
-  dd::sample_strided(model, schedule, 1, 4, 4, 1, dd::SamplerConfig{}, rng,
-                     [&](std::int64_t k, const Tensor&) {
-                       visited.push_back(k);
-                     });
+  sample_split_streams(model, schedule, 1, 4, 4, /*stride=*/1, rng,
+                       [&](std::int64_t k, const Tensor&) {
+                         visited.push_back(k);
+                       });
   EXPECT_EQ(visited.size(), 7U);  // 6, 5, ..., 0.
+}
+
+// Mixed strides {1, 3, 4} on K = 12: the observer tracks the largest step
+// any slot still has to run, so it sees K first, strictly decreasing steps,
+// and 0 last, once on the prior and once per executed round. Observing
+// never changes the sampled bytes.
+TEST(StridedSampler, MixedStrideObserverTracksLargestRemainingStep) {
+  dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 12});
+  du::UNet model(micro_config(), 3);
+  const std::vector<std::int64_t> strides = {1, 3, 4};
+  const auto run = [&](const dd::RoundHook& hook,
+                       const dd::SampleObserver& observer) {
+    dc::Rng rng(31);
+    const SplitStreams streams(rng, strides.size());
+    return dd::sample_streams_strided(model, schedule, 4, 4,
+                                      dd::SamplerConfig{}, streams.ptrs(),
+                                      strides, hook, observer);
+  };
+  std::int64_t rounds = 0;
+  std::vector<std::int64_t> seen;
+  const Tensor observed = run(
+      [&](std::int64_t, std::int64_t) { ++rounds; },
+      [&](std::int64_t k, const Tensor&) { seen.push_back(k); });
+  const Tensor plain = run(nullptr, nullptr);
+
+  ASSERT_EQ(seen.size(), static_cast<std::size_t>(rounds + 1));
+  EXPECT_EQ(seen.front(), 12);
+  EXPECT_EQ(seen.back(), 0);
+  for (std::size_t i = 1; i < seen.size(); ++i) {
+    EXPECT_LT(seen[i], seen[i - 1]);
+  }
+  ASSERT_TRUE(observed.same_shape(plain));
+  for (std::int64_t i = 0; i < plain.numel(); ++i) {
+    ASSERT_EQ(observed[i], plain[i]) << "observer changed sampled entry " << i;
+  }
 }
 
 TEST(StridedSampler, TrainedModelStillHitsModesWithStride) {
@@ -184,8 +224,8 @@ TEST(StridedSampler, TrainedModelStillHitsModesWithStride) {
     Tensor x0 = toy_batch(rng, 8);
     trainer.step(x0, rng);
   }
-  Tensor samples = dd::sample_strided(model, schedule, 16, 4, 4, 2,
-                                      dd::SamplerConfig{}, rng);
+  Tensor samples =
+      sample_split_streams(model, schedule, 16, 4, 4, /*stride=*/2, rng);
   int mode_like = 0;
   for (std::int64_t i = 0; i < 16; ++i) {
     // A mode-like sample has uniform columns: count column-consistency.
@@ -201,6 +241,33 @@ TEST(StridedSampler, TrainedModelStillHitsModesWithStride) {
     mode_like += consistent_cols >= 3;
   }
   EXPECT_GE(mode_like, 9) << "strided samples lost the learned structure";
+}
+
+// ---- sampler contract -------------------------------------------------------
+
+// The sampler's argument checks: every malformed call is rejected up front
+// with std::invalid_argument instead of being clamped or silently accepted.
+TEST(SamplerContract, RejectsMalformedArguments) {
+  dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 12});
+  du::UNet model(micro_config(), 3);
+  dc::Rng rng(5);
+  const SplitStreams streams(rng, 2);
+  const auto call = [&](const std::vector<dc::Rng*>& ptrs,
+                        const std::vector<std::int64_t>& strides) {
+    dd::sample_streams_strided(model, schedule, 4, 4, dd::SamplerConfig{},
+                               ptrs, strides);
+  };
+  EXPECT_THROW(call(streams.ptrs(), {1, 0}), std::invalid_argument)
+      << "stride 0";
+  EXPECT_THROW(call(streams.ptrs(), {1, 13}), std::invalid_argument)
+      << "stride > K";
+  EXPECT_THROW(call({streams.ptrs()[0], nullptr}, {1, 1}),
+               std::invalid_argument)
+      << "null stream";
+  EXPECT_THROW(call(streams.ptrs(), {1}), std::invalid_argument)
+      << "fewer strides than streams";
+  EXPECT_THROW(call(streams.ptrs(), {1, 1, 1}), std::invalid_argument)
+      << "more strides than streams";
 }
 
 // ---- EMA ---------------------------------------------------------------------
