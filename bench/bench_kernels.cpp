@@ -1,7 +1,8 @@
 // Kernel microbench: the runtime-dispatched SIMD backend vs forced-scalar
 // dispatch, and the parallel pool vs single-thread execution, on the three
 // shapes that dominate the reverse-diffusion hot path — GEMM, batch-wide
-// convolution, and row softmax.
+// convolution (a generic shape plus the bench U-Net's widest 3x3 conv at
+// batch 1 and batch 64, with its GFLOP/s), and row softmax.
 //
 // For every kernel the bench (a) verifies the backend-parity contract —
 // forced-scalar and vector dispatch produce bitwise-identical results — and
@@ -16,6 +17,8 @@
 #include <cmath>
 #include <cstring>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "common/compute_pool.h"
@@ -111,6 +114,43 @@ struct KernelReport {
   }
 };
 
+/// Per-sample conv reference composed from the retained naive kernels
+/// (reference GEMM over per-sample im2col, then the bias).
+Tensor conv_reference(const Tensor& x, const Tensor& w, const Tensor& b,
+                      const dp::tensor::Conv2dGeometry& geom) {
+  const auto batch = x.dim(0);
+  const auto out_ch = w.dim(0);
+  const auto n_out = geom.out_h() * geom.out_w();
+  const Tensor w2d = w.reshaped({out_ch, geom.patch_size()});
+  Tensor out({batch, out_ch, geom.out_h(), geom.out_w()});
+  for (std::int64_t n = 0; n < batch; ++n) {
+    Tensor image({x.dim(1), x.dim(2), x.dim(3)});
+    std::copy(x.data() + n * image.numel(),
+              x.data() + (n + 1) * image.numel(), image.data());
+    const Tensor y =
+        dp::tensor::reference::matmul(w2d, dp::tensor::im2col(image, geom));
+    for (std::int64_t o = 0; o < out_ch; ++o) {
+      for (std::int64_t p = 0; p < n_out; ++p) {
+        out[(n * out_ch + o) * n_out + p] = y[o * n_out + p] + b[o];
+      }
+    }
+  }
+  return out;
+}
+
+dp::tensor::Conv2dGeometry conv3x3_geometry(std::int64_t channels,
+                                            std::int64_t side) {
+  dp::tensor::Conv2dGeometry geom;
+  geom.in_channels = channels;
+  geom.in_h = side;
+  geom.in_w = side;
+  geom.kernel_h = 3;
+  geom.kernel_w = 3;
+  geom.stride = 1;
+  geom.padding = 1;
+  return geom;
+}
+
 template <typename Run>
 KernelReport measure(KernelBackend best, std::int64_t ambient, int reps,
                      const Tensor& reference, std::int64_t inner_dim,
@@ -155,41 +195,46 @@ int main() {
 
   // ---- conv2d forward: [16,16,32,32] * [32,16,3,3], stride 1, pad 1 -------
   // Run under NoGradGuard — the sampler's inference configuration — so the
-  // batch-wide im2col + single-GEMM path with scratch reuse is what is
-  // measured. The reference composes the retained per-sample kernels.
+  // implicit-im2col forward alone is measured. The reference composes the
+  // retained per-sample kernels.
   dp::nn::NoGradGuard no_grad;
+  const auto run_conv = [&](const Tensor& x, const Tensor& w,
+                            const Tensor& b) {
+    return dp::nn::conv2d(dp::nn::Var(x), dp::nn::Var(w), dp::nn::Var(b),
+                          /*stride=*/1, /*padding=*/1)
+        .value();
+  };
   const Tensor cx = random_tensor({16, 16, 32, 32}, rng);
   const Tensor cw = random_tensor({32, 16, 3, 3}, rng);
   const Tensor cb = random_tensor({32}, rng);
-  dp::tensor::Conv2dGeometry geom;
-  geom.in_channels = 16;
-  geom.in_h = 32;
-  geom.in_w = 32;
-  geom.kernel_h = 3;
-  geom.kernel_w = 3;
-  geom.stride = 1;
-  geom.padding = 1;
-  const auto n_out = geom.out_h() * geom.out_w();
-  Tensor conv_ref({16, 32, geom.out_h(), geom.out_w()});
-  const Tensor w2d = cw.reshaped({32, geom.patch_size()});
-  for (std::int64_t n = 0; n < 16; ++n) {
-    Tensor image({16, 32, 32});
-    std::copy(cx.data() + n * image.numel(),
-              cx.data() + (n + 1) * image.numel(), image.data());
-    const Tensor y =
-        dp::tensor::reference::matmul(w2d, dp::tensor::im2col(image, geom));
-    for (std::int64_t o = 0; o < 32; ++o) {
-      for (std::int64_t p = 0; p < n_out; ++p) {
-        conv_ref[(n * 32 + o) * n_out + p] = y[o * n_out + p] + cb[o];
-      }
-    }
+  const auto geom = conv3x3_geometry(16, 32);
+  const auto conv = measure(best, ambient, kReps,
+                            conv_reference(cx, cw, cb, geom),
+                            /*inner_dim=*/geom.patch_size(),
+                            [&] { return run_conv(cx, cw, cb); });
+
+  // ---- the bench U-Net's widest 3x3 conv: [B,48,8,8] * [16,48,3,3] --------
+  // (up-path res block over the 32 + 16 channel skip concat), at batch 1 and
+  // the full fused batch of 64. GFLOP/s counts 2 * O * C*kh*kw * B*OH*OW.
+  const Tensor uw = random_tensor({16, 48, 3, 3}, rng);
+  const Tensor ub = random_tensor({16}, rng);
+  const auto ugeom = conv3x3_geometry(48, 8);
+  struct UnetConv {
+    std::int64_t batch;
+    KernelReport report;
+    double gflops = 0.0;
+  };
+  std::vector<UnetConv> unet_convs = {{1, {}}, {64, {}}};
+  for (auto& uc : unet_convs) {
+    const Tensor ux = random_tensor({uc.batch, 48, 8, 8}, rng);
+    uc.report = measure(best, ambient, uc.batch == 1 ? 200 : 15,
+                        conv_reference(ux, uw, ub, ugeom),
+                        /*inner_dim=*/ugeom.patch_size(),
+                        [&] { return run_conv(ux, uw, ub); });
+    const double flops = 2.0 * 16.0 * static_cast<double>(
+                             ugeom.patch_size() * uc.batch * 64);
+    uc.gflops = flops / (uc.report.simd_ms_1t * 1e6);
   }
-  const auto conv = measure(best, ambient, kReps, conv_ref,
-                            /*inner_dim=*/geom.patch_size(), [&] {
-    return dp::nn::conv2d(dp::nn::Var(cx), dp::nn::Var(cw), dp::nn::Var(cb),
-                          /*stride=*/1, /*padding=*/1)
-        .value();
-  });
 
   // ---- softmax over [4096, 256] rows --------------------------------------
   const Tensor logits = random_tensor({4096, 256}, rng);
@@ -201,8 +246,11 @@ int main() {
   // Restore ambient dispatch for any code running after us.
   set_backend_or_die(best);
 
-  const bool all_ok = mm.parity_ok && mm.reference_ok && conv.parity_ok &&
-                      conv.reference_ok && sm.parity_ok && sm.reference_ok;
+  bool all_ok = mm.parity_ok && mm.reference_ok && conv.parity_ok &&
+                conv.reference_ok && sm.parity_ok && sm.reference_ok;
+  for (const auto& uc : unet_convs) {
+    all_ok = all_ok && uc.report.parity_ok && uc.report.reference_ok;
+  }
   const auto row = [](const char* name, const KernelReport& r) {
     std::cout << name << "  scalar " << r.scalar_ms_1t << " ms -> simd "
               << r.simd_ms_1t << " ms (x" << r.simd_speedup()
@@ -213,11 +261,19 @@ int main() {
   row("matmul  256x384x512: ", mm);
   row("conv2d  16x16x32x32: ", conv);
   row("softmax 4096x256:    ", sm);
+  for (const auto& uc : unet_convs) {
+    const std::string name =
+        "conv2d  unet 48->16 8x8 b" + std::to_string(uc.batch) + ": ";
+    row(name.c_str(), uc.report);
+    std::cout << "    GEMM " << uc.gflops << " GFLOP/s (simd, 1 thread)\n";
+  }
   std::cout << "backend parity (scalar == "
             << dp::tensor::kernel_backend_label(best)
             << ", bitwise) and reference agreement: "
             << (all_ok ? "yes" : "NO") << "\n";
 
+  const auto& ub1 = unet_convs[0];
+  const auto& ub64 = unet_convs[1];
   dp::bench::write_bench_json(
       "kernels",
       {{"backend_is_vector",
@@ -234,6 +290,13 @@ int main() {
        {"softmax_ms_simd_1_thread", sm.simd_ms_1t},
        {"softmax_simd_speedup", sm.simd_speedup()},
        {"softmax_ms_simd_n_threads", sm.simd_ms_nt},
+       {"conv2d_unet48_b1_ms_scalar_1_thread", ub1.report.scalar_ms_1t},
+       {"conv2d_unet48_b1_ms_simd_1_thread", ub1.report.simd_ms_1t},
+       {"conv2d_unet48_b1_gflops_simd_1_thread", ub1.gflops},
+       {"conv2d_unet48_b64_ms_scalar_1_thread", ub64.report.scalar_ms_1t},
+       {"conv2d_unet48_b64_ms_simd_1_thread", ub64.report.simd_ms_1t},
+       {"conv2d_unet48_b64_gflops_simd_1_thread", ub64.gflops},
+       {"conv2d_unet48_b64_ms_simd_n_threads", ub64.report.simd_ms_nt},
        {"bitwise_backend_parity", all_ok ? 1.0 : 0.0}});
   return all_ok ? 0 : 1;
 }

@@ -690,13 +690,9 @@ Var conv2d(const Var& x, const Var& w, const Var& b, std::int64_t stride,
            std::int64_t padding) {
   const Tensor& vx = x.value();
   const Tensor& vw = w.value();
-  const Tensor& vb = b.value();
   DP_REQUIRE(vx.rank() == 4, "conv2d: x must be [N,C,H,W]");
   DP_REQUIRE(vw.rank() == 4, "conv2d: w must be [O,C,kh,kw]");
   DP_REQUIRE(vx.dim(1) == vw.dim(1), "conv2d: channel mismatch");
-  DP_REQUIRE(vb.rank() == 1 && vb.dim(0) == vw.dim(0),
-             "conv2d: bias shape mismatch");
-  DP_REQUIRE(stride >= 1 && padding >= 0, "conv2d: bad stride/padding");
   tensor::Conv2dGeometry geom;
   geom.in_channels = vx.dim(1);
   geom.in_h = vx.dim(2);
@@ -705,67 +701,24 @@ Var conv2d(const Var& x, const Var& w, const Var& b, std::int64_t stride,
   geom.kernel_w = vw.dim(3);
   geom.stride = stride;
   geom.padding = padding;
-  const auto batch = vx.dim(0);
-  const auto out_ch = vw.dim(0);
-  const auto oh = geom.out_h();
-  const auto ow = geom.out_w();
-  DP_REQUIRE(oh > 0 && ow > 0, "conv2d: output would be empty");
-
-  const auto n_out = oh * ow;
-  const auto ncols = batch * n_out;
-  const Tensor w2d = vw.reshaped({out_ch, geom.patch_size()});
-
-  // Batch-wide convolution: ONE im2col over the whole [N,C,H,W] batch into
-  // [C*kh*kw, N*OH*OW] columns and a single GEMM against the flattened
-  // weight — per-sample column blocks are bitwise what per-sample im2col
-  // produces and each output element accumulates in the same k-ascending
-  // order, so fused batches stay bit-equal to batch-1 runs. At inference
-  // (NoGradGuard: the backward closure below is dropped) the unroll and GEMM
-  // buffers are thread-local scratch reused across calls — one allocation
-  // for a whole denoising chain instead of one per conv per round. Under
-  // autograd the columns must outlive the forward (the weight-grad GEMM
-  // consumes them), so they are freshly allocated and moved into the
-  // closure.
-  static thread_local Tensor t_cols_scratch;
-  static thread_local Tensor t_gemm_scratch;
-  const bool inference = NoGradGuard::active();
-  Tensor cols_owned;
-  Tensor& cols = inference ? t_cols_scratch : cols_owned;
-  tensor::im2col_batch_into(vx, geom, cols);
-  Tensor y_owned;
-  Tensor& y = inference ? t_gemm_scratch : y_owned;
-  y.resize({out_ch, ncols});
-  tensor::matmul_into(w2d, cols, y);  // [O, N*OH*OW]
-
-  // Scatter to [N, O, OH, OW] with the bias folded in.
-  Tensor out({batch, out_ch, oh, ow});
-  float* po = out.data();
-  const float* py = y.data();
-  const float* pbias = vb.data();
-  const auto& kern = tensor::simd::active();
-  tensor::parallel_for(
-      0, batch * out_ch,
-      [&](std::int64_t p0, std::int64_t p1) {
-        for (std::int64_t idx = p0; idx < p1; ++idx) {
-          const auto n = idx / out_ch;
-          const auto o = idx % out_ch;
-          kern.shift(po + idx * n_out, py + o * ncols + n * n_out, pbias[o],
-                     n_out);
-        }
-      },
-      std::max<std::int64_t>(1, tensor::kElementwiseGrain / n_out));
-
+  // Batch-wide implicit-im2col convolution: B panels are packed straight
+  // from the image and the tiled GEMM stores [N,O,OH,OW] with the bias
+  // folded in (tensor::conv2d). Per element this is the chain the
+  // im2col + GEMM formulation computes, so fused batches stay bit-equal to
+  // batch-1 runs and the autograd forward equals the inference forward.
+  Tensor out = tensor::conv2d(vx, vw, b.value(), geom);
   if (!graph_needed({&x, &w, &b})) {
     return make_value_node(std::move(out));
   }
+  const auto batch = vx.dim(0);
+  const auto out_ch = vw.dim(0);
+  const auto n_out = geom.out_h() * geom.out_w();
   auto px = x.node();
   auto pw = w.node();
   auto pb = b.node();
   return make_op_node(
       std::move(out), {x, w, b},
-      [px, pw, pb, w2d, geom, batch, out_ch, oh, ow,
-       cols = std::move(cols_owned)](const Tensor& g) {
-        const auto n_out = oh * ow;
+      [px, pw, pb, geom, batch, out_ch, n_out](const Tensor& g) {
         const auto ncols = batch * n_out;
         // Gather g [N,O,OH,OW] into the GEMM layout [O, N*OH*OW] once; the
         // bias, weight, and input gradients all read it.
@@ -795,11 +748,16 @@ Var conv2d(const Var& x, const Var& w, const Var& b, std::int64_t stride,
           accumulate_grad(*pb, gb);
         }
         if (pw->requires_grad) {
-          // gW2d = gy2d * cols^T over the whole batch in one GEMM.
+          // gW2d = gy2d * cols^T over the whole batch in one GEMM. The
+          // columns are rebuilt here so the graph holds none between the
+          // forward and the backward.
+          const Tensor cols = tensor::im2col_batch(px->value, geom);
           Tensor gw2d = tensor::matmul_transpose_b(gy2d, cols);
           accumulate_grad(*pw, gw2d.reshaped(pw->value.shape()));
         }
         if (px->requires_grad) {
+          const Tensor w2d =
+              pw->value.reshaped({out_ch, geom.patch_size()});
           Tensor gcols = tensor::matmul_transpose_a(w2d, gy2d);
           accumulate_grad(*px, tensor::col2im_batch(gcols, geom, batch));
         }

@@ -28,6 +28,40 @@ void scalar_axpy(float a, const float* x, float* y, std::int64_t n) {
   }
 }
 
+void scalar_gemm_tile(const float* a, std::int64_t lda, const float* b,
+                      std::int64_t k, float* c, std::int64_t ldc,
+                      std::int64_t mr, std::int64_t nr, bool /*a_has_zero*/,
+                      const float* bias) {
+  for (std::int64_t i = 0; i < mr; ++i) {
+    const float* arow = a + i * lda;
+    float* crow = c + i * ldc;
+    // Full-width steps (the padding lanes past nr are computed and
+    // dropped) give the compiler a fixed trip count to vectorize.
+    float acc[kGemmNr] = {};
+    for (std::int64_t j = 0; j < nr; ++j) {
+      acc[j] = crow[j];
+    }
+    for (std::int64_t p = 0; p < k; ++p) {
+      const float av = arow[p];
+      if (av == 0.0F) {
+        continue;
+      }
+      const float* brow = b + p * kGemmNr;
+      for (std::int64_t j = 0; j < kGemmNr; ++j) {
+        acc[j] = std::fma(av, brow[j], acc[j]);
+      }
+    }
+    if (bias != nullptr) {
+      for (std::int64_t j = 0; j < nr; ++j) {
+        acc[j] = acc[j] + bias[i];
+      }
+    }
+    for (std::int64_t j = 0; j < nr; ++j) {
+      crow[j] = acc[j];
+    }
+  }
+}
+
 float scalar_dot(const float* x, const float* y, std::int64_t n) {
   float acc[8] = {0.0F, 0.0F, 0.0F, 0.0F, 0.0F, 0.0F, 0.0F, 0.0F};
   std::int64_t i = 0;
@@ -153,6 +187,7 @@ void scalar_normalize_affine_rows(const float* x, float mean, float istd,
 constexpr Kernels kScalarTable = {
     .backend = KernelBackend::kScalar,
     .axpy = scalar_axpy,
+    .gemm_tile = scalar_gemm_tile,
     .dot = scalar_dot,
     .add = scalar_add,
     .mul = scalar_mul,
@@ -373,6 +408,8 @@ void neon_normalize_affine_rows(const float* x, float mean, float istd,
 constexpr Kernels kNeonTable = {
     .backend = KernelBackend::kNeon,
     .axpy = neon_axpy,
+    // No NEON tile yet: the canonical scalar tile gives the same bits.
+    .gemm_tile = scalar_gemm_tile,
     .dot = neon_dot,
     .add = neon_add,
     .mul = neon_mul,

@@ -80,6 +80,11 @@ common::Status set_kernel_backend_name(const std::string& name);
 
 namespace simd {
 
+/// GEMM register-tile shape: gemm_tile computes up to kGemmMr rows of C
+/// against one packed B panel kGemmNr columns wide.
+inline constexpr std::int64_t kGemmMr = 6;
+inline constexpr std::int64_t kGemmNr = 16;
+
 /// Per-backend kernel table. Every function implements the canonical
 /// semantics documented at the top of this header; `n` is an element count
 /// and all pointers may overlap only where a parameter is documented as
@@ -87,8 +92,32 @@ namespace simd {
 struct Kernels {
   KernelBackend backend;
 
-  /// y[i] = fma(a, x[i], y[i]) for i in [0,n) — the GEMM axpy micro-kernel.
+  /// y[i] = fma(a, x[i], y[i]) for i in [0,n) — the row update behind
+  /// matmul_transpose_a (the training backward) and short tails.
   void (*axpy)(float a, const float* x, float* y, std::int64_t n);
+
+  /// The GEMM micro-kernel: one register tile of C += A * B. For each row
+  /// i < mr (mr in 1..kGemmMr) and column j < nr (nr in 1..kGemmNr):
+  ///
+  ///   acc = c[i*ldc + j];
+  ///   for p in [0, k):
+  ///     if (a[i*lda + p] != 0) acc = fma(a[i*lda + p], b[p*kGemmNr + j], acc);
+  ///   if (bias) acc = acc + bias[i];     // The same op as `shift`.
+  ///   c[i*ldc + j] = acc;
+  ///
+  /// Every element therefore runs the canonical sequential-in-k fused chain
+  /// that skips exact-zero A entries (fma(0, b, c) is not c when c is -0 or
+  /// b is inf/NaN, so the skip is part of the semantics). `b` is a packed
+  /// panel of k rows, kGemmNr floats each; its columns >= nr may be read
+  /// and computed on but never reach C (the packers zero them). Columns
+  /// >= nr and rows >= mr of C are never touched. `a_has_zero` == false is
+  /// the caller's promise that the mr x k slice of A holds no exact zero,
+  /// which lets a vector backend drop the per-step skip; the result is the
+  /// same either way.
+  void (*gemm_tile)(const float* a, std::int64_t lda, const float* b,
+                    std::int64_t k, float* c, std::int64_t ldc,
+                    std::int64_t mr, std::int64_t nr, bool a_has_zero,
+                    const float* bias);
 
   /// Canonical lane-split fused dot product: 8 partial accumulators
   /// (lane l owns i ≡ l mod 8 over full 8-blocks, the tail folds into

@@ -34,6 +34,105 @@ void avx2_axpy(float a, const float* x, float* y, std::int64_t n) {
   }
 }
 
+/// Lanes of the 8-column half starting at column `base` that lie below nr.
+__m256i column_mask(std::int64_t nr, int base) {
+  return _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(static_cast<int>(nr) - base),
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// One MR x 16 tile held in 2 * MR ymm registers. Each step broadcasts
+/// A[i,p] and fuses it against the two 8-float halves of panel row p — the
+/// scalar tile's per-element fma chain, 16 lanes at a time. kSkipZeros
+/// blends the fma result away in rows whose A[i,p] is an exact zero
+/// (cmp_eq is false for NaN and true for -0, exactly like `av == 0.0F`).
+template <int MR, bool kSkipZeros>
+void avx2_tile(const float* a, std::int64_t lda, const float* b,
+               std::int64_t k, float* c, std::int64_t ldc, std::int64_t nr,
+               const float* bias) {
+  const bool full = nr == kGemmNr;
+  const __m256i mask_lo = column_mask(nr, 0);
+  const __m256i mask_hi = column_mask(nr, 8);
+  __m256 acc[MR][2];
+#pragma GCC unroll 6
+  for (int i = 0; i < MR; ++i) {
+    const float* crow = c + i * ldc;
+    acc[i][0] =
+        full ? _mm256_loadu_ps(crow) : _mm256_maskload_ps(crow, mask_lo);
+    acc[i][1] = full ? _mm256_loadu_ps(crow + 8)
+                     : _mm256_maskload_ps(crow + 8, mask_hi);
+  }
+  const __m256 zero = _mm256_setzero_ps();
+  for (std::int64_t p = 0; p < k; ++p) {
+    const __m256 b_lo = _mm256_loadu_ps(b + p * kGemmNr);
+    const __m256 b_hi = _mm256_loadu_ps(b + p * kGemmNr + 8);
+#pragma GCC unroll 6
+    for (int i = 0; i < MR; ++i) {
+      const __m256 va = _mm256_broadcast_ss(a + i * lda + p);
+      const __m256 f_lo = _mm256_fmadd_ps(va, b_lo, acc[i][0]);
+      const __m256 f_hi = _mm256_fmadd_ps(va, b_hi, acc[i][1]);
+      if constexpr (kSkipZeros) {
+        const __m256 skip = _mm256_cmp_ps(va, zero, _CMP_EQ_OQ);
+        acc[i][0] = _mm256_blendv_ps(f_lo, acc[i][0], skip);
+        acc[i][1] = _mm256_blendv_ps(f_hi, acc[i][1], skip);
+      } else {
+        acc[i][0] = f_lo;
+        acc[i][1] = f_hi;
+      }
+    }
+  }
+#pragma GCC unroll 6
+  for (int i = 0; i < MR; ++i) {
+    if (bias != nullptr) {
+      const __m256 vb = _mm256_set1_ps(bias[i]);
+      acc[i][0] = _mm256_add_ps(acc[i][0], vb);
+      acc[i][1] = _mm256_add_ps(acc[i][1], vb);
+    }
+    float* crow = c + i * ldc;
+    if (full) {
+      _mm256_storeu_ps(crow, acc[i][0]);
+      _mm256_storeu_ps(crow + 8, acc[i][1]);
+    } else {
+      _mm256_maskstore_ps(crow, mask_lo, acc[i][0]);
+      _mm256_maskstore_ps(crow + 8, mask_hi, acc[i][1]);
+    }
+  }
+}
+
+template <bool kSkipZeros>
+void avx2_tile_rows(const float* a, std::int64_t lda, const float* b,
+                    std::int64_t k, float* c, std::int64_t ldc,
+                    std::int64_t mr, std::int64_t nr, const float* bias) {
+  switch (mr) {
+    case 1:
+      return avx2_tile<1, kSkipZeros>(a, lda, b, k, c, ldc, nr, bias);
+    case 2:
+      return avx2_tile<2, kSkipZeros>(a, lda, b, k, c, ldc, nr, bias);
+    case 3:
+      return avx2_tile<3, kSkipZeros>(a, lda, b, k, c, ldc, nr, bias);
+    case 4:
+      return avx2_tile<4, kSkipZeros>(a, lda, b, k, c, ldc, nr, bias);
+    case 5:
+      return avx2_tile<5, kSkipZeros>(a, lda, b, k, c, ldc, nr, bias);
+    default:
+      return avx2_tile<6, kSkipZeros>(a, lda, b, k, c, ldc, nr, bias);
+  }
+}
+
+static_assert(kGemmMr == 6 && kGemmNr == 16,
+              "avx2_tile_rows covers 1..6 rows of two 8-float halves");
+
+void avx2_gemm_tile(const float* a, std::int64_t lda, const float* b,
+                    std::int64_t k, float* c, std::int64_t ldc,
+                    std::int64_t mr, std::int64_t nr, bool a_has_zero,
+                    const float* bias) {
+  if (a_has_zero) {
+    avx2_tile_rows<true>(a, lda, b, k, c, ldc, mr, nr, bias);
+  } else {
+    avx2_tile_rows<false>(a, lda, b, k, c, ldc, mr, nr, bias);
+  }
+}
+
 float avx2_dot(const float* x, const float* y, std::int64_t n) {
   __m256 vacc = _mm256_setzero_ps();
   std::int64_t i = 0;
@@ -210,6 +309,7 @@ void avx2_normalize_affine_rows(const float* x, float mean, float istd,
 constexpr Kernels kAvx2Table = {
     .backend = KernelBackend::kAvx2,
     .axpy = avx2_axpy,
+    .gemm_tile = avx2_gemm_tile,
     .dot = avx2_dot,
     .add = avx2_add,
     .mul = avx2_mul,

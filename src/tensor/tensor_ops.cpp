@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/contracts.h"
 #include "tensor/parallel.h"
@@ -16,13 +18,6 @@ void require_matrix(const Tensor& t, const char* name) {
                                 t.shape_string());
 }
 
-/// Column-tile width for the (i, k, j) GEMM kernels: the output row tile
-/// stays hot in L1 while a K-panel of B streams through. Tiling only
-/// reorders WHICH elements are touched when — each element's k-ascending
-/// accumulation order is unchanged, so results stay bit-equal to the
-/// reference kernels.
-constexpr std::int64_t kColumnTile = 512;
-
 /// Minimum multiply-accumulates per parallel chunk; rows are cheap enough
 /// below this that pool dispatch dominates.
 constexpr std::int64_t kGemmGrainFlops = 32 * 1024;
@@ -33,28 +28,83 @@ std::int64_t row_grain(std::int64_t flops_per_row) {
                                                       1, flops_per_row));
 }
 
-/// One output row of C += A * B: crow[j] = fma(arow[k], b[k][j], crow[j]),
-/// k ascending per element through the dispatched axpy micro-kernel
-/// (canonical fused accumulation — see tensor/simd.h), skipping zero A
-/// entries (binary topologies make A sparse on several hot paths; adding
-/// exact zeros is a no-op for finite values).
-void gemm_row(const simd::Kernels& kern, const float* arow, const float* pb,
-              float* crow, std::int64_t k, std::int64_t n) {
-  for (std::int64_t j0 = 0; j0 < n; j0 += kColumnTile) {
-    const auto j1 = std::min(n, j0 + kColumnTile);
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0F) {
-        continue;
-      }
-      kern.axpy(av, pb + kk * n + j0, crow + j0, j1 - j0);
-    }
+constexpr std::int64_t kMr = simd::kGemmMr;
+constexpr std::int64_t kNr = simd::kGemmNr;
+
+/// K-block depth of one packed B panel: kKc x kNr floats (16 KiB) live on
+/// the task's stack and stay in L1 while every row block of A sweeps them.
+/// Splitting K only stores the C tile after one block and reloads it for
+/// the next, so each element's fma chain is unchanged.
+constexpr std::int64_t kKc = 256;
+
+std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
+  return (a + b - 1) / b;
+}
+
+/// Where one kNr-column strip of C lives: row i starts at c + i * ldc and
+/// the first nr columns are live.
+struct StripView {
+  float* c;
+  std::int64_t ldc;
+  std::int64_t nr;
+};
+
+/// C += A[M,K] * B over `strips` column strips of C, plus `bias[i]` on row i
+/// when bias is non-null. `locate(s)` gives strip s's StripView;
+/// `pack(s, k0, kc, panel)` writes rows [k0, k0 + kc) of strip s's B
+/// columns into panel[p * kNr + j], zero-padded past nr. The strips are the
+/// parallel axis: a strip's elements are owned by exactly one task, and
+/// neither the K blocking nor the row blocking reorders any element's
+/// chain, so the result is the same for every thread count and chunking.
+template <typename Locate, typename Pack>
+void tiled_gemm(const float* a, std::int64_t m, std::int64_t k,
+                std::int64_t strips, const Locate& locate, const Pack& pack,
+                const float* bias) {
+  if (m == 0 || strips == 0) {
+    return;
   }
+  const auto& kern = simd::active();
+  // Row blocks holding an exact zero take the kernel's skipping variant.
+  // No early exit: the flat compare-and-or loop vectorizes.
+  std::vector<std::uint8_t> has_zero(
+      static_cast<std::size_t>(ceil_div(m, kMr)), 0);
+  for (std::int64_t i0 = 0; i0 < m; i0 += kMr) {
+    const float* block = a + i0 * k;
+    const auto count = std::min(kMr, m - i0) * k;
+    bool zero = false;
+    for (std::int64_t e = 0; e < count; ++e) {
+      zero |= block[e] == 0.0F;
+    }
+    has_zero[static_cast<std::size_t>(i0 / kMr)] = zero ? 1 : 0;
+  }
+  const auto k_blocks = std::max<std::int64_t>(1, ceil_div(k, kKc));
+  parallel_for(
+      0, strips,
+      [&](std::int64_t s_begin, std::int64_t s_end) {
+        alignas(32) float panel[kKc * kNr];
+        for (std::int64_t s = s_begin; s < s_end; ++s) {
+          const StripView strip = locate(s);
+          for (std::int64_t kb = 0; kb < k_blocks; ++kb) {
+            const auto k0 = kb * kKc;
+            const auto kc = std::min(kKc, k - k0);
+            pack(s, k0, kc, panel);
+            const bool last = kb + 1 == k_blocks;
+            for (std::int64_t i0 = 0; i0 < m; i0 += kMr) {
+              kern.gemm_tile(a + i0 * k + k0, k, panel, kc,
+                             strip.c + i0 * strip.ldc, strip.ldc,
+                             std::min(kMr, m - i0), strip.nr,
+                             has_zero[static_cast<std::size_t>(i0 / kMr)] != 0,
+                             last && bias != nullptr ? bias + i0 : nullptr);
+            }
+          }
+        }
+      },
+      row_grain(m * k * kNr));
 }
 
 }  // namespace
 
-// ---- GEMM family (blocked, row-parallel) ----------------------------------
+// ---- GEMM family ------------------------------------------------------------
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   require_matrix(a, "matmul(a)");
@@ -83,23 +133,32 @@ void matmul_into(const Tensor& a, const Tensor& b, Tensor& out) {
 }
 
 void matmul_accumulate(const Tensor& a, const Tensor& b, Tensor& out) {
+  require_matrix(a, "matmul_accumulate(a)");
+  require_matrix(b, "matmul_accumulate(b)");
   const auto m = a.dim(0);
   const auto k = a.dim(1);
   const auto n = b.dim(1);
-  DP_REQUIRE(out.dim(0) == m && out.dim(1) == n,
+  DP_REQUIRE(b.dim(0) == k, "matmul_accumulate: inner dimension mismatch " +
+                                a.shape_string() + " x " + b.shape_string());
+  DP_REQUIRE(out.rank() == 2 && out.dim(0) == m && out.dim(1) == n,
              "matmul_accumulate: bad output shape");
-  const float* pa = a.data();
   const float* pb = b.data();
   float* pc = out.data();
-  const auto& kern = simd::active();
-  parallel_for(
-      0, m,
-      [&](std::int64_t row_begin, std::int64_t row_end) {
-        for (std::int64_t i = row_begin; i < row_end; ++i) {
-          gemm_row(kern, pa + i * k, pb, pc + i * n, k, n);
-        }
-      },
-      row_grain(k * n));
+  const auto locate = [&](std::int64_t s) {
+    return StripView{pc + s * kNr, n, std::min(kNr, n - s * kNr)};
+  };
+  const auto pack = [&](std::int64_t s, std::int64_t k0, std::int64_t kc,
+                        float* panel) {
+    const auto j0 = s * kNr;
+    const auto nr = std::min(kNr, n - j0);
+    for (std::int64_t p = 0; p < kc; ++p) {
+      const float* src = pb + (k0 + p) * n + j0;
+      float* dst = panel + p * kNr;
+      std::copy(src, src + nr, dst);
+      std::fill(dst + nr, dst + kNr, 0.0F);
+    }
+  };
+  tiled_gemm(a.data(), m, k, ceil_div(n, kNr), locate, pack, nullptr);
 }
 
 Tensor matmul_transpose_a(const Tensor& a, const Tensor& b) {
@@ -252,6 +311,7 @@ void im2col_batch_into(const Tensor& images, const Conv2dGeometry& geom,
              "im2col_batch: geometry mismatch with batch " +
                  images.shape_string());
   const auto batch = images.dim(0);
+  DP_REQUIRE(batch >= 1, "im2col_batch: batch must be >= 1");
   const auto n_out = geom.out_h() * geom.out_w();
   DP_REQUIRE(n_out > 0, "im2col_batch: empty output window");
   const auto ncols = batch * n_out;
@@ -303,6 +363,97 @@ Tensor col2im_batch(const Tensor& columns, const Conv2dGeometry& geom,
     }
   });
   return images;
+}
+
+Tensor conv2d(const Tensor& images, const Tensor& weight, const Tensor& bias,
+              const Conv2dGeometry& geom) {
+  DP_REQUIRE(images.rank() == 4, "conv2d: images must be [N,C,H,W]");
+  DP_REQUIRE(images.dim(1) == geom.in_channels &&
+                 images.dim(2) == geom.in_h && images.dim(3) == geom.in_w,
+             "conv2d: geometry mismatch with batch " + images.shape_string());
+  const auto batch = images.dim(0);
+  DP_REQUIRE(batch >= 1, "conv2d: batch must be >= 1");
+  DP_REQUIRE(weight.rank() == 4 && weight.dim(1) == geom.in_channels &&
+                 weight.dim(2) == geom.kernel_h &&
+                 weight.dim(3) == geom.kernel_w,
+             "conv2d: weight shape mismatch " + weight.shape_string());
+  const auto out_ch = weight.dim(0);
+  DP_REQUIRE(bias.rank() == 1 && bias.dim(0) == out_ch,
+             "conv2d: bias shape mismatch");
+  DP_REQUIRE(geom.kernel_h >= 1 && geom.kernel_w >= 1,
+             "conv2d: kernel must be at least 1x1");
+  DP_REQUIRE(geom.stride >= 1 && geom.padding >= 0,
+             "conv2d: bad stride/padding");
+  const auto oh = geom.out_h();
+  const auto ow = geom.out_w();
+  DP_REQUIRE(oh > 0 && ow > 0, "conv2d: output would be empty");
+
+  const auto n_out = oh * ow;
+  const auto strips_per_sample = ceil_div(n_out, kNr);
+  const auto taps = geom.kernel_h * geom.kernel_w;
+  Tensor out({batch, out_ch, oh, ow});
+  float* dst = out.data();
+
+  // Strips never cross a sample: strip s covers output positions
+  // [p0, p0 + nr) of sample s / strips_per_sample, one contiguous run of
+  // every output plane, so the tile stores straight into [N,O,OH,OW].
+  const auto locate = [&](std::int64_t s) {
+    const auto n = s / strips_per_sample;
+    const auto p0 = (s % strips_per_sample) * kNr;
+    return StripView{dst + n * out_ch * n_out + p0, n_out,
+                     std::min(kNr, n_out - p0)};
+  };
+  // The pixel a tap reads for each strip column depends only on the strip's
+  // place within its sample and the tap (ky, kx), not on the sample or the
+  // channel: gather[(q * taps + t) * kNr + j] is the in-plane offset tap t
+  // reads for column j of within-sample strip q, or -1 where it reads
+  // padding (or j is past the strip's end).
+  const auto plane = geom.in_h * geom.in_w;
+  std::vector<std::int64_t> gather(
+      static_cast<std::size_t>(strips_per_sample * taps * kNr), -1);
+  for (std::int64_t oy = 0, pos = 0; oy < oh; ++oy) {
+    for (std::int64_t ox = 0; ox < ow; ++ox, ++pos) {
+      auto e = (pos / kNr) * taps * kNr + pos % kNr;
+      for (std::int64_t ky = 0; ky < geom.kernel_h; ++ky) {
+        const auto iy = oy * geom.stride - geom.padding + ky;
+        for (std::int64_t kx = 0; kx < geom.kernel_w; ++kx, e += kNr) {
+          const auto ix = ox * geom.stride - geom.padding + kx;
+          if (iy >= 0 && iy < geom.in_h && ix >= 0 && ix < geom.in_w) {
+            gather[static_cast<std::size_t>(e)] = iy * geom.in_w + ix;
+          }
+        }
+      }
+    }
+  }
+  // Implicit im2col: panel row r = (c, ky, kx) holds, for each output
+  // position of the strip, the input pixel that tap reads (+0 in padding) —
+  // the entries im2col_batch would have put in those columns.
+  const float* src = images.data();
+  const auto pack = [&](std::int64_t s, std::int64_t k0, std::int64_t kc,
+                        float* panel) {
+    const float* image =
+        src + (s / strips_per_sample) * geom.in_channels * plane;
+    const std::int64_t* strip_gather =
+        gather.data() + (s % strips_per_sample) * taps * kNr;
+    auto c = k0 / taps;
+    auto t = k0 % taps;
+    for (std::int64_t p = 0; p < kc; ++p) {
+      const float* channel = image + c * plane;
+      const std::int64_t* idx = strip_gather + t * kNr;
+      float* row = panel + p * kNr;
+      for (std::int64_t j = 0; j < kNr; ++j) {
+        const float v = channel[std::max<std::int64_t>(idx[j], 0)];
+        row[j] = idx[j] >= 0 ? v : 0.0F;
+      }
+      if (++t == taps) {
+        t = 0;
+        ++c;
+      }
+    }
+  };
+  tiled_gemm(weight.data(), out_ch, geom.patch_size(),
+             batch * strips_per_sample, locate, pack, bias.data());
+  return out;
 }
 
 // ---- reductions / elementwise ---------------------------------------------

@@ -1,16 +1,24 @@
-// Raw numeric kernels over Tensor: GEMM, im2col/col2im, reductions.
+// Raw numeric kernels over Tensor: GEMM, convolution, im2col/col2im,
+// reductions.
 //
 // These are the non-differentiable building blocks; gradient bookkeeping is
-// layered on top in src/nn. The GEMM family and the batch-wide convolution
-// unrolls run blocked and row-parallel on the process-wide compute pool
-// (src/tensor/parallel.h), with the inner loops routed through the
-// runtime-dispatched SIMD kernel tier (src/tensor/simd.h: scalar, AVX2/FMA,
-// NEON). Every kernel keeps the canonical fused accumulation order defined
-// by the scalar backend, so results are byte-identical for any thread count
-// and any backend. The original single-threaded mul-then-add kernels are
-// retained under tensor::reference as the test oracle; the canonical fused
-// kernels agree with them within a small ULP bound
-// (tests/test_simd_kernels.cpp), not bitwise.
+// layered on top in src/nn. matmul / matmul_into / matmul_accumulate and
+// the forward conv2d share one tiled GEMM: C is cut into 16-column strips
+// (the parallel axis), each strip's B columns are packed into an L1-sized
+// panel, and the dispatched register-tile micro-kernel
+// (simd::Kernels::gemm_tile, 6 x 16) sweeps every 6-row block of A over
+// it. conv2d packs its panels straight from the [N,C,H,W] image (implicit
+// im2col), so no column matrix or GEMM buffer is materialised. The
+// remaining kernels run row-parallel on the process-wide compute pool
+// (src/tensor/parallel.h) through the same kernel tier (src/tensor/simd.h:
+// scalar, AVX2/FMA, NEON). Every kernel keeps the canonical fused
+// accumulation order defined by the scalar backend — for the GEMMs, each
+// C[i,j] is one k-ascending fma chain that skips exact-zero A[i,k] — so
+// results are byte-identical for any thread count and any backend. The
+// original single-threaded mul-then-add kernels are retained under
+// tensor::reference as the test oracle; the canonical fused kernels agree
+// with them within a small ULP bound (tests/test_simd_kernels.cpp), not
+// bitwise.
 #pragma once
 
 #include <cstdint>
@@ -57,17 +65,24 @@ struct Conv2dGeometry {
 /// (padding) positions contribute zeros.
 Tensor im2col(const Tensor& image, const Conv2dGeometry& geom);
 
-/// Batch-wide unroll: [N,C,H,W] -> [C*kh*kw, N*OH*OW], sample-major columns
-/// (sample n owns columns [n*OH*OW, (n+1)*OH*OW)). One matmul against the
-/// flattened conv weight then convolves the whole batch; each column block
-/// is byte-identical to im2col of that sample, so batched convolution is
-/// bit-equal to the per-sample path.
+/// Batch-wide unroll: [N,C,H,W] -> [C*kh*kw, N*OH*OW] (N >= 1),
+/// sample-major columns (sample n owns columns [n*OH*OW, (n+1)*OH*OW));
+/// each column block is byte-identical to im2col of that sample. The conv
+/// backward rebuilds its weight-gradient operand with it.
 Tensor im2col_batch(const Tensor& images, const Conv2dGeometry& geom);
 
 /// Allocation-free im2col_batch: resizes `cols` (reusing its storage across
 /// denoising rounds) and overwrites every entry.
 void im2col_batch_into(const Tensor& images, const Conv2dGeometry& geom,
                        Tensor& cols);
+
+/// Forward convolution, [N,C,H,W] * weight [O,C,kh,kw] + bias [O] ->
+/// [N,O,OH,OW] (N >= 1). Bitwise equal to im2col_batch followed by
+/// matmul against the flattened weight and `x + bias[o]` on every output
+/// — per element, the same fma chain over (c, ky, kx) ascending, then one
+/// add — without materialising either intermediate.
+Tensor conv2d(const Tensor& images, const Tensor& weight, const Tensor& bias,
+              const Conv2dGeometry& geom);
 
 /// Adjoint of im2col: folds columns [C*kh*kw, OH*OW] back into an image
 /// [C,H,W], accumulating overlapping contributions.

@@ -142,6 +142,28 @@ TEST(Modules, Conv2dShapes) {
   EXPECT_EQ(y.dim(3), 4);
 }
 
+TEST(Ops, Conv2dRejectsEmptyBatch) {
+  // A [0,C,H,W] batch once divided by zero while unrolling (SIGFPE); it is
+  // a precondition violation at every conv entry point.
+  const Tensor empty({0, 3, 5, 5});
+  const Var w(Tensor({4, 3, 3, 3}, 0.5F), /*requires_grad=*/true);
+  const Var b(Tensor({4}, 0.0F), /*requires_grad=*/true);
+  EXPECT_THROW(nn::conv2d(Var(empty), w, b, 1, 1), std::invalid_argument);
+  {
+    nn::NoGradGuard no_grad;
+    EXPECT_THROW(nn::conv2d(Var(empty), w, b, 1, 1), std::invalid_argument);
+  }
+  diffpattern::tensor::Conv2dGeometry geom;
+  geom.in_channels = 3;
+  geom.in_h = 5;
+  geom.in_w = 5;
+  geom.kernel_h = 3;
+  geom.kernel_w = 3;
+  geom.padding = 1;
+  EXPECT_THROW(diffpattern::tensor::im2col_batch(empty, geom),
+               std::invalid_argument);
+}
+
 TEST(Modules, GroupNormNormalizes) {
   nn::ParamRegistry reg;
   dc::Rng rng(5);

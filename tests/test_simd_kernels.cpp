@@ -1,15 +1,19 @@
 // SIMD kernel tier tests: runtime dispatch plumbing, bitwise parity between
 // the scalar (canonical) backend and every vector backend this host can
-// run, and ULP-bounded equivalence against the retained tensor::reference
-// oracle — at sizes chosen to exercise every remainder/tail path
-// (non-multiples of the 8-float / 4-double lane widths, 1x1 convolutions,
-// odd channel counts).
+// run, bitwise equality of every GEMM and convolution with the canonical
+// fma chain written out as a triple loop, and ULP-bounded equivalence
+// against the retained tensor::reference oracle — at sizes chosen to
+// exercise every remainder/tail path (non-multiples of the 8-float /
+// 4-double lane widths and of the 6 x 16 GEMM tile, 1x1 convolutions, odd
+// channel counts).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/compute_pool.h"
@@ -68,6 +72,64 @@ Tensor random_tensor(dt::Shape shape, dc::Rng& rng) {
   }
   return ::testing::AssertionSuccess();
 }
+
+/// The canonical GEMM chain written out: C[i,j] takes one std::fma per k,
+/// ascending, from its current value, skipping exact-zero A[i,k]. Every
+/// backend, thread count and tiling must reproduce it bit for bit.
+void oracle_gemm_accumulate(const Tensor& a, const Tensor& b, Tensor& c) {
+  const auto m = a.dim(0);
+  const auto k = a.dim(1);
+  const auto n = b.dim(1);
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      float acc = c[i * n + j];
+      for (std::int64_t p = 0; p < k; ++p) {
+        const float av = a[i * k + p];
+        if (av == 0.0F) {
+          continue;
+        }
+        acc = std::fma(av, b[p * n + j], acc);
+      }
+      c[i * n + j] = acc;
+    }
+  }
+}
+
+/// GEMM operands that punish a dropped zero-skip: A has scattered exact
+/// zeros (+0 and -0), its last row is all zero (so that row of C must keep
+/// its starting value, -0 included), and for K >= 2 its last column is all
+/// zero with +inf, -inf and NaN in the matching row of B. Skipping keeps
+/// every non-finite value out of C; fma(0, inf, c) would not.
+std::pair<Tensor, Tensor> zero_skip_operands(std::int64_t m, std::int64_t k,
+                                             std::int64_t n, dc::Rng& rng) {
+  Tensor a = random_tensor({m, k}, rng);
+  Tensor b = random_tensor({k, n}, rng);
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t p = 0; p < k; ++p) {
+      if ((i + 2 * p) % 5 == 0 || (m > 1 && i == m - 1) ||
+          (k >= 2 && p == k - 1)) {
+        a[i * k + p] = (i + p) % 2 == 0 ? 0.0F : -0.0F;
+      }
+    }
+  }
+  if (k >= 2) {
+    const float poison[] = {std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+    for (std::int64_t j = 0; j < n; ++j) {
+      b[(k - 1) * n + j] = poison[j % 3];
+    }
+  }
+  return {std::move(a), std::move(b)};
+}
+
+/// Restores the auto-sized compute pool when a test that resizes it ends.
+struct ThreadsGuard {
+  ThreadsGuard() = default;
+  ~ThreadsGuard() { EXPECT_TRUE(dc::set_global_compute_threads(-1).ok()); }
+  ThreadsGuard(const ThreadsGuard&) = delete;
+  ThreadsGuard& operator=(const ThreadsGuard&) = delete;
+};
 
 /// ULP bound for one fused-vs-split rounding difference per accumulation
 /// step, summed over the inner dimensions used below. Observed distances
@@ -165,6 +227,91 @@ TEST(SimdKernels, AxpyBackendParityAndTailCoverage) {
         EXPECT_TRUE(du::ulp_distance(got[i], naive) <= 2 ||
                     std::abs(got[i] - naive) <= 2e-6F)
             << "n=" << n << " i=" << i << ": " << got[i] << " vs " << naive;
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, GemmTileEqualsCanonicalChainOnEveryTileShape) {
+  constexpr std::int64_t kNr = dt::simd::kGemmNr;
+  constexpr std::int64_t kLdc = kNr + 3;
+  constexpr float kSentinel = 12345.0F;
+  dc::Rng rng(173);
+  for (const auto backend : backends_under_test()) {
+    const auto* table = dt::simd::table_for(backend);
+    ASSERT_NE(table, nullptr);
+    for (const std::int64_t k : {0, 1, 7}) {
+      for (std::int64_t mr = 1; mr <= dt::simd::kGemmMr; ++mr) {
+        for (std::int64_t nr = 1; nr <= kNr; ++nr) {
+          for (const bool with_bias : {false, true}) {
+            for (const bool with_zeros : {false, true}) {
+              SCOPED_TRACE(::testing::Message()
+                           << dt::kernel_backend_label(backend) << " k=" << k
+                           << " mr=" << mr << " nr=" << nr
+                           << " bias=" << with_bias
+                           << " zeros=" << with_zeros);
+              Tensor a = random_tensor({mr, std::max<std::int64_t>(k, 1)},
+                                       rng);
+              const auto lda = a.dim(1);
+              // Panel columns past nr hold values that must never reach C.
+              Tensor panel = random_tensor({std::max<std::int64_t>(k, 1),
+                                            kNr}, rng);
+              for (std::int64_t p = 0; p < k; ++p) {
+                for (std::int64_t j = nr; j < kNr; ++j) {
+                  panel[p * kNr + j] = 1e30F;
+                }
+              }
+              if (with_zeros) {
+                // Scattered zeros, plus an all-zero column 0 of A over an
+                // infinite panel row: only the skip keeps C finite.
+                for (std::int64_t e = 0; e < a.numel(); e += 3) {
+                  a[e] = 0.0F;
+                }
+                for (std::int64_t i = 0; i < mr; ++i) {
+                  a[i * lda] = -0.0F;
+                }
+                for (std::int64_t j = 0; j < kNr; ++j) {
+                  panel[j] = std::numeric_limits<float>::infinity();
+                }
+              }
+              const Tensor bias = random_tensor({mr}, rng);
+              // C rows are kLdc wide; columns >= nr and row mr are
+              // sentinels. Row 0 starts at -0, which fma(0, b, c) loses.
+              Tensor c0 = random_tensor({mr + 1, kLdc}, rng);
+              for (std::int64_t i = 0; i <= mr; ++i) {
+                for (std::int64_t j = 0; j < kLdc; ++j) {
+                  if (i == mr || j >= nr) {
+                    c0[i * kLdc + j] = kSentinel;
+                  } else if (i == 0) {
+                    c0[j] = -0.0F;
+                  }
+                }
+              }
+              Tensor want = c0;
+              for (std::int64_t i = 0; i < mr; ++i) {
+                for (std::int64_t j = 0; j < nr; ++j) {
+                  float acc = want[i * kLdc + j];
+                  for (std::int64_t p = 0; p < k; ++p) {
+                    const float av = a[i * lda + p];
+                    if (av != 0.0F) {
+                      acc = std::fma(av, panel[p * kNr + j], acc);
+                    }
+                  }
+                  want[i * kLdc + j] = with_bias ? acc + bias[i] : acc;
+                }
+              }
+              // The zero hint is exact here; without zeros both variants
+              // must agree as well.
+              for (const bool hint : {with_zeros, true}) {
+                Tensor got = c0;
+                table->gemm_tile(a.data(), lda, panel.data(), k, got.data(),
+                                 kLdc, mr, nr, hint,
+                                 with_bias ? bias.data() : nullptr);
+                EXPECT_TRUE(bitwise_equal(got, want)) << "hint=" << hint;
+              }
+            }
+          }
+        }
       }
     }
   }
@@ -379,6 +526,58 @@ TEST(SimdKernels, MatmulSingleColumnAndSingleElementShapes) {
   EXPECT_TRUE(du::ulp_close(one_base, dt::reference::matmul(a1, b1), 2));
 }
 
+TEST(SimdKernels, MatmulBitwiseEqualsCanonicalChainOnEveryBackendAndThreads) {
+  BackendGuard backend_guard;
+  ThreadsGuard threads_guard;
+  dc::Rng rng(179);
+  // M covers every remainder of the 6-row tile, N every side of the
+  // 16-column strip, K = 257 crosses the 256-deep panel block.
+  struct Case {
+    Tensor a, b, want, want_acc;
+  };
+  std::vector<Case> cases;
+  for (std::int64_t m = 1; m <= 13; ++m) {
+    for (const std::int64_t n : {1, 15, 16, 17, 33}) {
+      for (const std::int64_t k : {0, 1, 5, 257}) {
+        auto [a, b] = zero_skip_operands(m, k, n, rng);
+        Tensor want({m, n}, 0.0F);
+        oracle_gemm_accumulate(a, b, want);
+        Tensor want_acc({m, n}, -0.0F);
+        oracle_gemm_accumulate(a, b, want_acc);
+        cases.push_back({std::move(a), std::move(b), std::move(want),
+                         std::move(want_acc)});
+      }
+    }
+  }
+  for (const auto backend : backends_under_test()) {
+    ASSERT_TRUE(dt::set_kernel_backend(backend).ok());
+    for (const std::int64_t threads : {1, 2, 8}) {
+      ASSERT_TRUE(dc::set_global_compute_threads(threads).ok());
+      for (const auto& c : cases) {
+        SCOPED_TRACE(::testing::Message()
+                     << dt::kernel_backend_label(backend)
+                     << " threads=" << threads << " a=" << c.a.shape_string()
+                     << " b=" << c.b.shape_string());
+        EXPECT_TRUE(bitwise_equal(dt::matmul(c.a, c.b), c.want));
+        Tensor into(c.want.shape(), std::numeric_limits<float>::quiet_NaN());
+        dt::matmul_into(c.a, c.b, into);
+        EXPECT_TRUE(bitwise_equal(into, c.want));
+        Tensor acc(c.want.shape(), -0.0F);
+        dt::matmul_accumulate(c.a, c.b, acc);
+        EXPECT_TRUE(bitwise_equal(acc, c.want_acc));
+      }
+    }
+  }
+  // The all-zero last row of A keeps its -0 start: a dropped skip would
+  // have turned it into +0 (or NaN under the poisoned B row).
+  const auto [a, b] = zero_skip_operands(4, 9, 17, rng);
+  Tensor acc({4, 17}, -0.0F);
+  dt::matmul_accumulate(a, b, acc);
+  for (std::int64_t j = 0; j < 17; ++j) {
+    EXPECT_TRUE(std::signbit(acc[3 * 17 + j]) && acc[3 * 17 + j] == 0.0F);
+  }
+}
+
 TEST(SimdKernels, SoftmaxRowsBackendInvariant) {
   BackendGuard guard;
   dc::Rng rng(139);
@@ -432,12 +631,43 @@ Tensor conv_reference(const Tensor& x, const Tensor& w, const Tensor& b,
   return out;
 }
 
+/// conv2d spelled as the formulation it replaced: im2col_batch, the
+/// canonical chain against the flattened weight from +0, then `+ bias[o]`
+/// scattered to [N,O,OH,OW]. The implicit-im2col conv must equal it bit
+/// for bit.
+Tensor conv_via_columns(const Tensor& x, const Tensor& w, const Tensor& b,
+                        std::int64_t stride, std::int64_t padding) {
+  dt::Conv2dGeometry geom;
+  geom.in_channels = x.dim(1);
+  geom.in_h = x.dim(2);
+  geom.in_w = x.dim(3);
+  geom.kernel_h = w.dim(2);
+  geom.kernel_w = w.dim(3);
+  geom.stride = stride;
+  geom.padding = padding;
+  const auto batch = x.dim(0);
+  const auto out_ch = w.dim(0);
+  const auto n_out = geom.out_h() * geom.out_w();
+  const Tensor cols = dt::im2col_batch(x, geom);
+  Tensor y({out_ch, batch * n_out}, 0.0F);
+  oracle_gemm_accumulate(w.reshaped({out_ch, geom.patch_size()}), cols, y);
+  Tensor out({batch, out_ch, geom.out_h(), geom.out_w()});
+  for (std::int64_t n = 0; n < batch; ++n) {
+    for (std::int64_t o = 0; o < out_ch; ++o) {
+      for (std::int64_t p = 0; p < n_out; ++p) {
+        out[(n * out_ch + o) * n_out + p] =
+            y[o * batch * n_out + n * n_out + p] + b[o];
+      }
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 TEST(SimdKernels, ConvolutionTailShapesBackendInvariantAndUlpClose) {
   BackendGuard guard;
   dc::Rng rng(149);
-  dn::NoGradGuard no_grad;
   struct Case {
     dt::Shape x;
     dt::Shape w;
@@ -452,6 +682,12 @@ TEST(SimdKernels, ConvolutionTailShapesBackendInvariantAndUlpClose) {
       {{3, 5, 4, 4}, {7, 5, 1, 1}, 1, 0},   // 1x1 conv, odd channels.
       {{2, 2, 9, 9}, {4, 2, 3, 3}, 2, 1},   // Strided, odd output width.
       {{1, 4, 3, 3}, {2, 4, 3, 3}, 1, 0},   // Output collapses to 1x1.
+      // 5x5 outputs: a 16-column strip of the batch-wide columns would
+      // straddle samples; each sample's 25 positions end in a 9-wide tail.
+      {{3, 3, 7, 7}, {5, 3, 3, 3}, 2, 2},
+      // C*kh*kw = 270: the chain spans two 256-deep panel blocks, and the
+      // bias lands once, after the last.
+      {{2, 30, 4, 4}, {7, 30, 3, 3}, 1, 1},
   };
   for (const auto& c : cases) {
     dc::Rng data_rng(151);
@@ -461,6 +697,7 @@ TEST(SimdKernels, ConvolutionTailShapesBackendInvariantAndUlpClose) {
     Tensor base;
     for (const auto backend : backends_under_test()) {
       ASSERT_TRUE(dt::set_kernel_backend(backend).ok());
+      dn::NoGradGuard no_grad;
       const Tensor out =
           dn::conv2d(dn::Var(x), dn::Var(w), dn::Var(b), c.stride, c.padding)
               .value();
@@ -471,6 +708,14 @@ TEST(SimdKernels, ConvolutionTailShapesBackendInvariantAndUlpClose) {
             << dt::kernel_backend_label(backend);
       }
     }
+    EXPECT_TRUE(bitwise_equal(
+        base, conv_via_columns(x, w, b, c.stride, c.padding)));
+    // The autograd forward (graph recorded) is the same computation.
+    const Tensor graphed =
+        dn::conv2d(dn::Var(x, true), dn::Var(w, true), dn::Var(b, true),
+                   c.stride, c.padding)
+            .value();
+    EXPECT_TRUE(bitwise_equal(graphed, base));
     EXPECT_TRUE(du::ulp_close(base, conv_reference(x, w, b, c.stride,
                                                    c.padding),
                               kGemmUlpBound, kGemmAtol));
